@@ -286,7 +286,8 @@ pub enum Output {
         /// Connection id.
         conn: ConnId,
     },
-    /// Diagnostic event for the trace bus.
+    /// Diagnostic event, counted against the host's trace budget
+    /// (`mindgap_sim::Trace`). `event_skipped` also feeds the timeline.
     Trace {
         /// Machine-readable tag.
         tag: &'static str,

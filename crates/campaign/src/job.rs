@@ -46,9 +46,9 @@ pub struct JobResult {
     pub metrics: BTreeMap<String, f64>,
     /// Value series (sorted RTTs, per-bucket PDR, …).
     pub series: BTreeMap<String, Vec<f64>>,
-    /// Trace events the bounded trace bus had to drop during the run.
-    /// Surfaced in the artifact and warned about by the engine instead
-    /// of being silently lost.
+    /// Control-plane trace emits past the run's record budget. No
+    /// records are stored; the count is kept for artifact
+    /// compatibility.
     pub trace_dropped: u64,
     /// Free-form label for tables ("tree static 75ms" …).
     pub label: String,

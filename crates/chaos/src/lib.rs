@@ -38,7 +38,9 @@
 //!     .node_crash(s(10), 3, s(5))
 //!     .jammer_burst(s(20), 17, 0.9, s(4))
 //!     .churn(42, &[1, 2, 3], s(30), s(60), 4, s(8));
-//! assert_eq!(sched.len(), 6);
+//! // One of the four churn picks hits a node still down from an
+//! // earlier pick and is skipped.
+//! assert_eq!(sched.len(), 5);
 //! sched.validate(8).expect("every victim exists in an 8-node world");
 //!
 //! // Canonical codec: byte-identical round trip, artifact-safe.
@@ -123,6 +125,14 @@ pub const FOREVER_NS: u64 = (1 << 53) - 1;
 /// A duration meaning "the fault is never cleared".
 pub fn forever() -> Duration {
     Duration::from_nanos(FOREVER_NS)
+}
+
+/// The instant (ns) a node crashed at `at_ns` for `down_for` reboots
+/// (for a [`forever`] crash, later than any experiment). The reboot is
+/// queued when the crash fires, so it runs after any fault scripted
+/// for that same instant: a node is still down at its reboot instant.
+fn reboot_ns(at_ns: u64, down_for: Duration) -> u64 {
+    at_ns.saturating_add(down_for.nanos())
 }
 
 /// One kind of scripted disturbance. Durations are "how long the
@@ -350,7 +360,10 @@ impl FaultSchedule {
     /// before its reboot. Crash instants and victim picks derive only
     /// from `seed`, so the same arguments always script the same
     /// churn — the join/leave driver for the peers-mode campaigns.
-    /// Crashes are appended in time order.
+    /// Crashes are appended in time order. A pick whose victim is
+    /// still down from an earlier pick is skipped, so the script may
+    /// hold fewer than `events` crashes; skipping draws nothing from
+    /// the RNG, so the other picks stay the same.
     pub fn churn(
         mut self,
         seed: u64,
@@ -371,7 +384,12 @@ impl FaultSchedule {
             })
             .collect();
         crashes.sort_unstable();
+        let mut up_at: BTreeMap<u16, u64> = BTreeMap::new();
         for (at_ns, node) in crashes {
+            if up_at.get(&node).is_some_and(|&up| at_ns <= up) {
+                continue;
+            }
+            up_at.insert(node, reboot_ns(at_ns, down_for));
             self.faults.push(Fault {
                 at_ns,
                 kind: FaultKind::NodeCrash {
@@ -459,6 +477,31 @@ impl FaultSchedule {
                         return err("zero bytes".into());
                     }
                 }
+            }
+        }
+        // A node cannot crash while it is still down: sorted per node
+        // by crash time, each crash must come after the previous
+        // one's reboot.
+        let mut crashes: Vec<(u16, u64, usize, u64)> = self
+            .faults
+            .iter()
+            .enumerate()
+            .filter_map(|(i, f)| match f.kind {
+                FaultKind::NodeCrash { node, down_for } => {
+                    Some((node, f.at_ns, i, reboot_ns(f.at_ns, down_for)))
+                }
+                _ => None,
+            })
+            .collect();
+        crashes.sort_unstable();
+        for w in crashes.windows(2) {
+            let (node, _, first, up) = w[0];
+            let (next, at, second, _) = w[1];
+            if node == next && at <= up {
+                return Err(format!(
+                    "fault #{second} (node_crash): node {node} crashes at {at} ns \
+                     while still down from fault #{first}"
+                ));
             }
         }
         Ok(())
@@ -665,6 +708,42 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_crashing_a_node_that_is_down() {
+        let s = Duration::from_secs;
+        // Back to back is fine: the second crash comes after the reboot.
+        let ok = FaultSchedule::new()
+            .node_crash(s(10), 2, s(5))
+            .node_crash(s(16), 2, s(5))
+            .node_crash(s(12), 3, s(5));
+        assert!(ok.validate(5).is_ok());
+        // Script order does not matter; the reboot instant is still down.
+        let at_reboot = FaultSchedule::new()
+            .node_crash(s(15), 2, s(5))
+            .node_crash(s(10), 2, s(5));
+        let e = at_reboot.validate(5).unwrap_err();
+        assert!(e.contains("node 2") && e.contains("fault #1"), "{e}");
+        let after_forever = FaultSchedule::new()
+            .node_crash(s(10), 2, forever())
+            .node_crash(s(1_000_000), 2, s(5));
+        assert!(after_forever.validate(5).is_err());
+    }
+
+    #[test]
+    fn churn_skips_victims_that_are_still_down() {
+        let s = Duration::from_secs;
+        // One victim, a window shorter than the outage: every pick
+        // after the first lands while the node is down.
+        let one = FaultSchedule::new().churn(7, &[3], s(10), s(5), 6, s(30));
+        assert_eq!(one.len(), 1);
+        assert!(one.validate(4).is_ok());
+        // Skipping draws nothing: the surviving picks are the first
+        // ones of an unskipped churn with the same seed.
+        let all = FaultSchedule::new().churn(7, &[3], s(10), s(5), 6, Duration::from_nanos(1));
+        assert_eq!(all.len(), 6);
+        assert_eq!(one.faults[0].at_ns, all.faults[0].at_ns);
+    }
+
+    #[test]
     fn churn_is_deterministic_time_ordered_and_valid() {
         let mk = || {
             FaultSchedule::new().churn(
@@ -678,7 +757,9 @@ mod tests {
         };
         let a = mk();
         assert_eq!(a, mk(), "same seed must script the same churn");
-        assert_eq!(a.len(), 12);
+        // One of the twelve picks lands on a victim still down from an
+        // earlier pick and is skipped.
+        assert_eq!(a.len(), 11);
         assert!(a.validate(8).is_ok());
         let mut last = 0;
         for f in &a.faults {

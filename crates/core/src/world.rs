@@ -3041,7 +3041,6 @@ impl World {
     }
 
     fn handle_stack_events(&mut self, node: NodeId, events: Vec<StackEvent>) {
-        let now = self.queue.now();
         for ev in events {
             match ev {
                 StackEvent::DeliverUdp {
@@ -3067,7 +3066,6 @@ impl World {
                 }
                 StackEvent::Dropped { reason } => {
                     self.records.drop(reason);
-                    self.trace.emit(now, node, TraceKind::Net, reason, 0);
                 }
             }
         }
@@ -3281,7 +3279,6 @@ impl World {
         };
         self.obs.reg.inc(self.obs.m.coap_req_tx, node);
         self.records.coap_sent(node, now);
-        self.trace.emit(now, node, TraceKind::App, "coap_req", 0);
         let bytes = msg.encode();
         self.send_udp(node, consumer, COAP_PORT, COAP_PORT, &bytes);
         // Schedule the next request with fresh jitter.

@@ -210,3 +210,30 @@ fn connection_survives_heavy_neighbour_scanning() {
     );
     assert!(r.coap_pdr() > 0.99, "PDR {}", r.coap_pdr());
 }
+
+/// Regression: churn must never crash a node that is still down.
+/// `FaultSchedule::churn` once drew crash instants and victims
+/// independently, so two picks of one victim inside its outage made
+/// `World::crash_node` panic mid-run ("crashed while already down").
+/// One victim and a pick window shorter than the outage guarantee the
+/// collision; the run must reach its end with the node back up.
+#[test]
+fn churn_never_recrashes_a_node_that_is_down() {
+    use mindgap_chaos::FaultSchedule;
+    let s = Duration::from_secs;
+    let faults = FaultSchedule::new().churn(5, &[2], s(30), s(5), 8, s(20));
+    assert_eq!(faults.len(), 1, "picks inside the outage are skipped");
+    let mut w = line3(23);
+    w.install_faults(&faults);
+    w.run_until(Instant::from_secs(50));
+    assert!(w.is_down(NodeId(2)), "the one crash fired");
+    w.run_until(Instant::from_secs(120));
+    assert!(!w.is_down(NodeId(2)), "node 2 rebooted");
+    w.reset_records();
+    w.run_until(Instant::from_secs(180));
+    assert!(
+        w.records().coap_pdr() > 0.9,
+        "post-churn PDR {}",
+        w.records().coap_pdr()
+    );
+}

@@ -22,8 +22,9 @@
 //!   implementation (public-domain algorithm) instead of depending on
 //!   the `rand` crate in the kernel so that simulation results can never
 //!   change under us due to an upstream algorithm swap.
-//! * [`Trace`] — a lightweight structured trace bus replacing the
-//!   paper's STDIO event logging (§4.2 of the paper).
+//! * [`Trace`] — the record budget of the paper's STDIO event logging
+//!   (§4.2 of the paper): it counts control-plane emits and how many
+//!   fell past the budget, and stores no records.
 //!
 //! The kernel deliberately knows nothing about radios, packets or
 //! protocols; higher crates define their own event enums and drive the
@@ -76,7 +77,7 @@ pub use pool::BytePool;
 pub use queue::{EventQueue, ScheduledEvent};
 pub use rng::Rng;
 pub use time::{Duration, Instant};
-pub use trace::{Trace, TraceEvent, TraceKind};
+pub use trace::{Trace, TraceKind};
 
 /// Identifies a simulated node (board) in the testbed.
 ///

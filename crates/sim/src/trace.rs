@@ -1,20 +1,17 @@
-//! Structured event tracing.
+//! Trace budget accounting.
 //!
 //! The paper's experiment framework dumps protocol events to each
-//! node's STDIO and reconstructs network state offline (§4.2). In the
-//! simulation we can do better: a [`Trace`] collects typed records with
-//! global timestamps. Metrics modules consume the trace after a run;
-//! tests assert on it; examples pretty-print it.
-//!
-//! Tracing is designed to be cheap enough to leave enabled: each record
-//! is a small plain struct, and categories can be disabled wholesale so
-//! a 24 h simulated run does not accumulate gigabytes of packet events.
-
-use std::collections::HashMap;
+//! node's STDIO and reconstructs network state offline (§4.2). The
+//! simulation needs no such log: every result is computed in process
+//! (the `obs` timeline and counters, the run records), so a [`Trace`]
+//! stores nothing. It keeps one number, [`Trace::dropped`]: how many
+//! emits of enabled categories fell past the record budget. That count
+//! is what a bounded log of that budget would have lost, and it is
+//! kept because it is part of every run's artifact (`trace_dropped`).
 
 use crate::{Instant, NodeId};
 
-/// Category of a trace record. Mirrors the layers of the stack.
+/// Category of a trace emit. Mirrors the layers of the stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceKind {
     /// BLE link layer: connection open/close/loss, event skip, etc.
@@ -31,33 +28,14 @@ pub enum TraceKind {
     Buffer,
 }
 
-/// One trace record.
-#[derive(Debug, Clone)]
-pub struct TraceEvent {
-    /// Global simulation time of the event.
-    pub at: Instant,
-    /// Node the event happened on.
-    pub node: NodeId,
-    /// Layer that emitted the event.
-    pub kind: TraceKind,
-    /// Short machine-readable tag, e.g. `"conn_lost"`.
-    pub tag: &'static str,
-    /// Free-form detail (peer id, channel number, byte counts …).
-    pub detail: u64,
-}
-
-/// In-memory trace bus with per-category enable switches.
+/// Record-budget counter with per-category enable switches. Stores no
+/// records and never allocates.
 #[derive(Debug)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
     enabled: [bool; 6],
-    dropped: u64,
-    capacity: usize,
-    /// Per-tag record count, maintained on emit, so `count_tag` (and
-    /// the metrics passes built on it) are O(1) lookups instead of
-    /// full-trace scans. Counts stored records only — dropped ones
-    /// are invisible here just as they are in `events`.
-    counts: HashMap<&'static str, usize>,
+    /// Emits of enabled categories so far.
+    emitted: u64,
+    capacity: u64,
 }
 
 fn kind_idx(kind: TraceKind) -> usize {
@@ -73,21 +51,19 @@ fn kind_idx(kind: TraceKind) -> usize {
 
 impl Trace {
     /// A trace with all categories enabled and the given record budget.
-    /// Once full, further records are counted but not stored — the
-    /// equivalent of the paper's care to stay within the IoT-lab STDIO
-    /// capacity.
+    /// Once the budget is spent, further emits are counted as dropped —
+    /// the equivalent of the paper's care to stay within the IoT-lab
+    /// STDIO capacity.
     pub fn with_capacity(capacity: usize) -> Self {
         Trace {
-            events: Vec::new(),
             enabled: [true; 6],
-            dropped: 0,
-            capacity,
-            counts: HashMap::new(),
+            emitted: 0,
+            capacity: capacity as u64,
         }
     }
 
-    /// A trace that records control-plane events (link, connection
-    /// manager, buffers) but not per-packet PHY/NET/APP events. The
+    /// A trace that counts control-plane emits (link, connection
+    /// manager, buffers) but not per-packet PHY/NET/APP ones. The
     /// right default for long experiments.
     pub fn control_plane(capacity: usize) -> Self {
         let mut t = Trace::with_capacity(capacity);
@@ -102,57 +78,23 @@ impl Trace {
         self.enabled[kind_idx(kind)] = on;
     }
 
-    /// `true` if records of `kind` are being stored.
+    /// `true` if emits of `kind` count against the budget.
     pub fn is_enabled(&self, kind: TraceKind) -> bool {
         self.enabled[kind_idx(kind)]
     }
 
-    /// Record an event (if its category is enabled and space remains).
+    /// Count an event against the budget if its category is enabled.
+    /// The event itself is not kept.
     #[inline]
-    pub fn emit(&mut self, at: Instant, node: NodeId, kind: TraceKind, tag: &'static str, detail: u64) {
-        if !self.enabled[kind_idx(kind)] {
-            return;
+    pub fn emit(&mut self, _at: Instant, _node: NodeId, kind: TraceKind, _tag: &'static str, _detail: u64) {
+        if self.enabled[kind_idx(kind)] {
+            self.emitted += 1;
         }
-        if self.events.len() >= self.capacity {
-            self.dropped += 1;
-            return;
-        }
-        *self.counts.entry(tag).or_insert(0) += 1;
-        self.events.push(TraceEvent {
-            at,
-            node,
-            kind,
-            tag,
-            detail,
-        });
     }
 
-    /// All stored records in emission order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Records matching a tag.
-    pub fn with_tag<'a>(&'a self, tag: &'a str) -> impl Iterator<Item = &'a TraceEvent> + 'a {
-        self.events.iter().filter(move |e| e.tag == tag)
-    }
-
-    /// Count of records matching a tag. O(1): served from the per-tag
-    /// counter map maintained on emit.
-    pub fn count_tag(&self, tag: &str) -> usize {
-        self.counts.get(tag).copied().unwrap_or(0)
-    }
-
-    /// Number of records discarded because the budget was exhausted.
+    /// Number of enabled emits past the budget.
     pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Discard all stored records (budget and tag counters reset too).
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
-        self.counts.clear();
+        self.emitted.saturating_sub(self.capacity)
     }
 }
 
@@ -166,39 +108,45 @@ impl Default for Trace {
 mod tests {
     use super::*;
 
-    fn ev(trace: &mut Trace, ms: u64, tag: &'static str) {
-        trace.emit(Instant::from_millis(ms), NodeId(1), TraceKind::Link, tag, 0);
+    fn emit(t: &mut Trace, kind: TraceKind, n: usize) {
+        for _ in 0..n {
+            t.emit(Instant::ZERO, NodeId(1), kind, "x", 0);
+        }
     }
 
     #[test]
-    fn records_and_filters() {
-        let mut t = Trace::with_capacity(16);
-        ev(&mut t, 1, "conn_open");
-        ev(&mut t, 2, "conn_lost");
-        ev(&mut t, 3, "conn_open");
-        assert_eq!(t.events().len(), 3);
-        assert_eq!(t.count_tag("conn_open"), 2);
-        assert_eq!(t.with_tag("conn_lost").count(), 1);
-    }
-
-    #[test]
-    fn capacity_enforced() {
-        let mut t = Trace::with_capacity(2);
-        ev(&mut t, 1, "a");
-        ev(&mut t, 2, "b");
-        ev(&mut t, 3, "c");
-        assert_eq!(t.events().len(), 2);
+    fn disabled_categories_never_count() {
+        let mut t = Trace::control_plane(2);
+        emit(&mut t, TraceKind::Phy, 5);
+        emit(&mut t, TraceKind::Net, 5);
+        emit(&mut t, TraceKind::App, 5);
+        assert_eq!(t.dropped(), 0);
+        // The disabled emits left the whole budget for enabled ones.
+        emit(&mut t, TraceKind::Link, 2);
+        assert_eq!(t.dropped(), 0);
+        emit(&mut t, TraceKind::ConnMgr, 1);
         assert_eq!(t.dropped(), 1);
     }
 
     #[test]
-    fn disabled_category_is_skipped() {
-        let mut t = Trace::with_capacity(16);
-        t.set_enabled(TraceKind::Phy, false);
-        t.emit(Instant::ZERO, NodeId(0), TraceKind::Phy, "tx", 0);
-        t.emit(Instant::ZERO, NodeId(0), TraceKind::Link, "ok", 0);
-        assert_eq!(t.events().len(), 1);
+    fn dropped_counts_emits_past_the_budget() {
+        let mut t = Trace::with_capacity(3);
+        emit(&mut t, TraceKind::Link, 3);
         assert_eq!(t.dropped(), 0);
+        emit(&mut t, TraceKind::Buffer, 4);
+        assert_eq!(t.dropped(), 4);
+        let mut zero = Trace::with_capacity(0);
+        emit(&mut zero, TraceKind::Phy, 2);
+        assert_eq!(zero.dropped(), 2);
+    }
+
+    #[test]
+    fn default_keeps_the_2_pow_20_budget() {
+        let mut t = Trace::default();
+        emit(&mut t, TraceKind::Link, 1 << 20);
+        assert_eq!(t.dropped(), 0);
+        emit(&mut t, TraceKind::Link, 1);
+        assert_eq!(t.dropped(), 1);
     }
 
     #[test]
@@ -206,38 +154,9 @@ mod tests {
         let t = Trace::control_plane(8);
         assert!(t.is_enabled(TraceKind::Link));
         assert!(t.is_enabled(TraceKind::ConnMgr));
+        assert!(t.is_enabled(TraceKind::Buffer));
         assert!(!t.is_enabled(TraceKind::Phy));
+        assert!(!t.is_enabled(TraceKind::Net));
         assert!(!t.is_enabled(TraceKind::App));
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut t = Trace::with_capacity(1);
-        ev(&mut t, 1, "a");
-        ev(&mut t, 2, "b");
-        assert_eq!(t.dropped(), 1);
-        t.clear();
-        assert!(t.events().is_empty());
-        assert_eq!(t.dropped(), 0);
-        assert_eq!(t.count_tag("a"), 0, "tag counters reset on clear");
-        ev(&mut t, 3, "c");
-        assert_eq!(t.events().len(), 1);
-        assert_eq!(t.count_tag("c"), 1);
-    }
-
-    #[test]
-    fn count_tag_tracks_stored_records_only() {
-        let mut t = Trace::with_capacity(2);
-        t.set_enabled(TraceKind::Phy, false);
-        ev(&mut t, 1, "a");
-        ev(&mut t, 2, "a");
-        ev(&mut t, 3, "a"); // over budget: dropped, not counted
-        t.emit(Instant::ZERO, NodeId(0), TraceKind::Phy, "a", 0); // disabled
-        assert_eq!(t.count_tag("a"), 2);
-        assert_eq!(t.count_tag("absent"), 0);
-        assert_eq!(
-            t.count_tag("a"),
-            t.events().iter().filter(|e| e.tag == "a").count()
-        );
     }
 }

@@ -243,10 +243,9 @@ pub struct ExperimentResult {
     pub pool_drops: u64,
     /// Per-node skipped-event counts (BLE shading signal).
     pub skipped_events: Vec<u64>,
-    /// Trace events dropped by the bounded trace bus during the run.
-    /// Non-zero means the trace overflowed its record budget and some
-    /// diagnostics were lost — surfaced here (and warned about on
-    /// stderr) instead of disappearing silently.
+    /// Control-plane trace emits past the 2^20 record budget
+    /// ([`mindgap_sim::Trace::dropped`]). No records are stored; the
+    /// count is kept for artifact compatibility.
     pub trace_dropped: u64,
     /// Kernel events processed over the whole run (warmup + measured
     /// + drain) — the `kernelbench` throughput denominator.
@@ -424,7 +423,6 @@ pub fn run_ble(spec: &ExperimentSpec) -> ExperimentResult {
         spec.producer_interval.millis()
     );
     let trace_dropped = world.trace.dropped();
-    warn_trace_dropped(&label, trace_dropped);
     let events_processed = world.events_processed();
     let par_stats = world.par_stats();
     let metrics = world.obs_snapshot();
@@ -460,15 +458,6 @@ fn rpl_converged(world: &World, n: usize, root: NodeId) -> bool {
     })
 }
 
-fn warn_trace_dropped(label: &str, dropped: u64) {
-    if dropped > 0 {
-        eprintln!(
-            "[runner] warning: {label}: trace bus dropped {dropped} events \
-             (record budget exhausted; raise Trace capacity to keep them)"
-        );
-    }
-}
-
 /// Run an IEEE 802.15.4 experiment (interval policy is ignored).
 pub fn run_ieee(spec: &ExperimentSpec) -> ExperimentResult {
     let app = AppConfig {
@@ -489,7 +478,6 @@ pub fn run_ieee(spec: &ExperimentSpec) -> ExperimentResult {
         spec.producer_interval.millis()
     );
     let trace_dropped = world.trace.dropped();
-    warn_trace_dropped(&label, trace_dropped);
     let events_processed = world.events_processed();
     let records = world.into_records();
     ExperimentResult {
