@@ -49,7 +49,8 @@ use mindgap_testbed::campaign::{keys, to_job_result};
 use mindgap_testbed::stats;
 use mindgap_testbed::{run_ble, ExperimentSpec, Topology};
 
-/// Per-node values of a counter metric; empty under `obs-off`.
+/// Per-node values of a counter metric; empty when the run did not
+/// register it.
 fn per_node(snap: &MetricsSnapshot, name: &str) -> Vec<u64> {
     match snap.get(name).map(|e| &e.value) {
         Some(SnapValue::Counter { per_node }) => per_node.clone(),
@@ -60,7 +61,7 @@ fn per_node(snap: &MetricsSnapshot, name: &str) -> Vec<u64> {
 /// Modelled average current of every node (µA) from the run's metric
 /// snapshot: conn-transport nodes pay per-connection-event charges
 /// plus data airtime, adv-transport nodes pay per-train overhead plus
-/// TX airtime and the scan duty cycle. Empty under `obs-off`.
+/// TX airtime and the scan duty cycle.
 fn node_currents(snap: &MetricsSnapshot, adv: bool, elapsed_s: f64) -> Vec<f64> {
     let m = EnergyModel::default();
     let tx_ns = per_node(snap, "phy_tx_airtime_ns");

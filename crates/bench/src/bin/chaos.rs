@@ -198,19 +198,14 @@ fn main() {
         "\ninjected {total_faults} faults: {total_detected} detected, \
          {total_reconnected} reconnected"
     );
-    if mindgap_obs::enabled() {
-        if total_faults > 0 && total_detected == total_faults && total_reconnected == total_faults
-        {
-            println!("all faults detected & reconnected");
-        } else {
-            println!(
-                "WARNING: {} faults missing detection, {} missing reconnection",
-                total_faults - total_detected,
-                total_faults - total_reconnected
-            );
-        }
+    if total_faults > 0 && total_detected == total_faults && total_reconnected == total_faults {
+        println!("all faults detected & reconnected");
     } else {
-        println!("note: obs-off build — recovery analysis is compiled out");
+        println!(
+            "WARNING: {} faults missing detection, {} missing reconnection",
+            total_faults - total_detected,
+            total_faults - total_reconnected
+        );
     }
     println!("\nShape checks:");
     println!("  * time-to-detect tracks the supervision timeout (its p50 sits");
@@ -221,7 +216,8 @@ fn main() {
     println!("    the victim relays half the producers.");
 }
 
-/// Treat a missing metric (NaN under `obs-off`) as zero.
+/// Treat a metric the job did not write (NaN) as zero: `chaos.*` keys
+/// exist only for runs that injected faults.
 fn nan0(v: f64) -> f64 {
     if v.is_nan() {
         0.0

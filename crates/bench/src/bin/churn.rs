@@ -182,7 +182,9 @@ fn main() {
     println!("    top of the scripted crashes, without collapsing delivery.");
 }
 
-/// Treat a missing metric (NaN under `obs-off`) as zero.
+/// Treat a metric the job did not write (NaN) as zero: `chaos.*` keys
+/// exist only for runs that injected faults, and peer-manager counters
+/// only in peers mode.
 fn nan0(v: f64) -> f64 {
     if v.is_nan() {
         0.0

@@ -95,8 +95,7 @@ impl Scope {
 
 /// Walk the timeline and compute per-fault recovery metrics, in
 /// injection order. Returns an empty vector when the timeline carries
-/// no fault markers (no schedule installed, `timeline_cap = 0`, or an
-/// `obs-off` build).
+/// no fault markers (no schedule installed or `timeline_cap = 0`).
 pub fn analyze(tl: &Timeline) -> Vec<FaultRecovery> {
     // Pass 1: the injection markers define the attribution windows.
     let mut out: Vec<FaultRecovery> = Vec::new();
@@ -229,9 +228,6 @@ mod tests {
 
     #[test]
     fn crash_detect_reconnect_sequence() {
-        if !mindgap_obs::enabled() {
-            return;
-        }
         let mut tl = Timeline::new(64);
         // Normal churn before the fault must not be attributed.
         tl.record(
@@ -271,9 +267,6 @@ mod tests {
 
     #[test]
     fn windows_split_attribution_between_faults() {
-        if !mindgap_obs::enabled() {
-            return;
-        }
         let mut tl = Timeline::new(64);
         crash_marker(&mut tl, at(10), 1, 1);
         tl.record(

@@ -923,7 +923,7 @@ impl World {
     }
 
     /// Kernel events processed (popped and dispatched) since
-    /// construction — the `kernelbench` throughput denominator.
+    /// construction — the numerator of perfbench's `events_per_cpu_s`.
     pub fn events_processed(&self) -> u64 {
         self.events
     }

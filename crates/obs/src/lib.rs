@@ -24,10 +24,6 @@
 //! its field docs double as the metric glossary (mirrored in
 //! DESIGN.md §8).
 //!
-//! Building with the `off` feature (exposed as `obs-off` downstream)
-//! compiles all recording to no-ops while keeping the API intact, so
-//! call sites need no conditional code.
-//!
 //! ## Example
 //!
 //! ```
@@ -43,7 +39,6 @@
 //! reg.observe(rtt, NodeId(1), 95_000);
 //!
 //! let snap = reg.snapshot();
-//! # #[cfg(not(feature = "off"))]
 //! assert_eq!(snap.total("coap_rtt_us"), 2.0); // sample count
 //!
 //! // The timeline captures ordered, typed events …
@@ -54,7 +49,6 @@
 //!     Span::ConnEvent { conn: 1, coord: true, anchor_ns: 75_000_000, interval_ns: 75_000_000 },
 //! );
 //! // … and exports them byte-deterministically.
-//! # #[cfg(not(feature = "off"))]
 //! assert!(tl.to_jsonl().starts_with("{\"t_ns\":75000000,"));
 //! ```
 
@@ -69,13 +63,6 @@ pub use metrics::{
     MetricsRegistry, MetricsSnapshot, SnapEntry, SnapValue, HIST_BUCKETS,
 };
 pub use timeline::{Span, Timeline, TimelineEvent, TimelineSummary};
-
-/// Whether observability is compiled in (`false` under the `off`
-/// feature). Lets harnesses skip work that only matters when
-/// recording is live.
-pub const fn enabled() -> bool {
-    cfg!(not(feature = "off"))
-}
 
 /// The canonical metric id-set registered by the simulator's `World`.
 ///
@@ -553,11 +540,7 @@ mod tests {
         let mut obs = Obs::new(3, 64);
         obs.reg.inc(obs.m.coap_req_tx, mindgap_sim::NodeId(2));
         let snap = obs.snapshot();
-        if cfg!(feature = "off") {
-            assert_eq!(snap.total("coap_req_tx"), 0.0);
-        } else {
-            assert_eq!(snap.total("coap_req_tx"), 1.0);
-        }
+        assert_eq!(snap.total("coap_req_tx"), 1.0);
         assert!(snap.get("ll_events_skipped").is_some());
     }
 }

@@ -16,10 +16,6 @@
 //! * **histograms** — fixed log2 buckets (32 of them) plus a running
 //!   sum, so snapshots can report counts, bucket shapes and means
 //!   without ever allocating per sample.
-//!
-//! With the crate's `off` feature the recording methods compile to
-//! nothing and snapshots are empty; registration still hands out ids
-//! so call sites need no conditional code.
 
 use mindgap_sim::NodeId;
 
@@ -242,76 +238,40 @@ impl MetricsRegistry {
     }
 
     // ------------------------------------------------------------------
-    // Recording (one array write each; no-ops under `off`)
+    // Recording (one array write each)
     // ------------------------------------------------------------------
 
     /// Increment a counter for `node` by one.
     #[inline]
     pub fn inc(&mut self, id: CounterId, node: NodeId) {
-        #[cfg(not(feature = "off"))]
-        {
-            self.counters[id.0 as usize + node.index()] += 1;
-        }
-        #[cfg(feature = "off")]
-        {
-            let _ = (id, node);
-        }
+        self.counters[id.0 as usize + node.index()] += 1;
     }
 
     /// Add `v` to a counter for `node`.
     #[inline]
     pub fn add(&mut self, id: CounterId, node: NodeId, v: u64) {
-        #[cfg(not(feature = "off"))]
-        {
-            self.counters[id.0 as usize + node.index()] += v;
-        }
-        #[cfg(feature = "off")]
-        {
-            let _ = (id, node, v);
-        }
+        self.counters[id.0 as usize + node.index()] += v;
     }
 
     /// Overwrite a (sampled) counter for `node`.
     #[inline]
     pub fn set_counter(&mut self, id: CounterId, node: NodeId, v: u64) {
-        #[cfg(not(feature = "off"))]
-        {
-            self.counters[id.0 as usize + node.index()] = v;
-        }
-        #[cfg(feature = "off")]
-        {
-            let _ = (id, node, v);
-        }
+        self.counters[id.0 as usize + node.index()] = v;
     }
 
     /// Set a gauge for `node`.
     #[inline]
     pub fn gauge_set(&mut self, id: GaugeId, node: NodeId, v: i64) {
-        #[cfg(not(feature = "off"))]
-        {
-            self.gauges[id.0 as usize + node.index()] = v;
-        }
-        #[cfg(feature = "off")]
-        {
-            let _ = (id, node, v);
-        }
+        self.gauges[id.0 as usize + node.index()] = v;
     }
 
     /// Record a histogram sample for `node`.
     #[inline]
     pub fn observe(&mut self, id: HistId, node: NodeId, v: u64) {
-        #[cfg(not(feature = "off"))]
-        {
-            let bucket = bucket_of(v);
-            let hist = id.0 as usize;
-            self.hist_buckets
-                [(hist + node.index()) * HIST_BUCKETS + bucket] += 1;
-            self.hist_sums[hist + node.index()] += v;
-        }
-        #[cfg(feature = "off")]
-        {
-            let _ = (id, node, v);
-        }
+        let bucket = bucket_of(v);
+        let hist = id.0 as usize;
+        self.hist_buckets[(hist + node.index()) * HIST_BUCKETS + bucket] += 1;
+        self.hist_sums[hist + node.index()] += v;
     }
 
     /// Current value of a counter for `node` (tests, diagnostics).
@@ -535,10 +495,6 @@ mod tests {
         reg.inc(a, NodeId(2));
         reg.add(b, NodeId(1), 7);
         let snap = reg.snapshot();
-        if cfg!(feature = "off") {
-            assert_eq!(snap.total("ll_a"), 0.0);
-            return;
-        }
         assert_eq!(snap.total("ll_a"), 3.0);
         assert_eq!(snap.total("coap_b"), 7.0);
         match &snap.get("ll_a").unwrap().value {
@@ -563,9 +519,6 @@ mod tests {
         reg.observe(h, NodeId(0), 100);
         reg.observe(h, NodeId(1), 300);
         let snap = reg.snapshot();
-        if cfg!(feature = "off") {
-            return;
-        }
         match &snap.get("coap_rtt_us").unwrap().value {
             SnapValue::Histogram {
                 per_node_count,

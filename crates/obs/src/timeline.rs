@@ -226,30 +226,23 @@ impl Timeline {
 
     /// Whether this timeline records anything.
     pub fn enabled(&self) -> bool {
-        self.cap > 0 && cfg!(not(feature = "off"))
+        self.cap > 0
     }
 
     /// Record one event. O(1); overwrites the oldest entry when full.
     #[inline]
     pub fn record(&mut self, t: Instant, node: NodeId, span: Span) {
-        #[cfg(not(feature = "off"))]
-        {
-            if self.cap == 0 {
-                return;
-            }
-            let ev = TimelineEvent { t, node, span };
-            if self.events.len() < self.cap {
-                self.events.push(ev);
-            } else {
-                self.events[self.next] = ev;
-                self.next = (self.next + 1) % self.cap;
-                self.wrapped = true;
-                self.overwritten += 1;
-            }
+        if self.cap == 0 {
+            return;
         }
-        #[cfg(feature = "off")]
-        {
-            let _ = (t, node, span);
+        let ev = TimelineEvent { t, node, span };
+        if self.events.len() < self.cap {
+            self.events.push(ev);
+        } else {
+            self.events[self.next] = ev;
+            self.next = (self.next + 1) % self.cap;
+            self.wrapped = true;
+            self.overwritten += 1;
         }
     }
 
@@ -555,10 +548,6 @@ mod tests {
         for i in 0..5u64 {
             tl.record(at(i), NodeId(0), Span::EventSkipped { conn: i });
         }
-        if cfg!(feature = "off") {
-            assert!(tl.is_empty());
-            return;
-        }
         assert_eq!(tl.len(), 3);
         assert_eq!(tl.overwritten(), 2);
         let kept: Vec<u64> = tl
@@ -595,9 +584,6 @@ mod tests {
                 b: 10_000_000_000,
             },
         );
-        if cfg!(feature = "off") {
-            return;
-        }
         assert_eq!(
             tl.to_jsonl(),
             "{\"t_ns\":9000000,\"node\":3,\"kind\":\"fault_node_crash\",\"a\":3,\"b\":10000000000}\n"
@@ -628,9 +614,6 @@ mod tests {
                 reason: "supervision_timeout",
             },
         );
-        if cfg!(feature = "off") {
-            return;
-        }
         let jsonl = tl.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(
@@ -659,10 +642,6 @@ mod tests {
                 reason: "supervision_timeout",
             },
         );
-        if cfg!(feature = "off") {
-            assert_eq!(tl.summary(), TimelineSummary::default());
-            return;
-        }
         let live = tl.summary();
         assert_eq!(live.events, 3);
         assert_eq!(live.nodes, 2);

@@ -169,13 +169,11 @@ mod tests {
         );
         assert_eq!(jr.trace_dropped, res.trace_dropped);
         assert_eq!(jr.label, res.label);
-        if mindgap_obs::enabled() {
-            assert_eq!(
-                jr.get("obs.ll_conn_established"),
-                res.metrics.total("ll_conn_established")
-            );
-            assert!(jr.get("obs.coap_req_tx") > 0.0);
-        }
+        assert_eq!(
+            jr.get("obs.ll_conn_established"),
+            res.metrics.total("ll_conn_established")
+        );
+        assert!(jr.get("obs.coap_req_tx") > 0.0);
     }
 
     /// The campaign aggregation formulas must agree with

@@ -42,12 +42,10 @@
 //!
 //! let res = run_ble(&spec);
 //! assert!(res.records.coap_pdr() > 0.9);
-//! if mindgap_obs::enabled() {
-//!     // Metrics land in campaign artifacts as `obs.*` keys …
-//!     assert!(res.metrics.total("coap_req_tx") >= 1.0);
-//!     // … and the timeline exports deterministic JSONL.
-//!     assert!(res.timeline.to_jsonl().contains("\"kind\":\"conn_up\""));
-//! }
+//! // Metrics land in campaign artifacts as `obs.*` keys …
+//! assert!(res.metrics.total("coap_req_tx") >= 1.0);
+//! // … and the timeline exports deterministic JSONL.
+//! assert!(res.timeline.to_jsonl().contains("\"kind\":\"conn_up\""));
 //! ```
 
 #![forbid(unsafe_code)]

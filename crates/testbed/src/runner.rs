@@ -248,19 +248,17 @@ pub struct ExperimentResult {
     /// count is kept for artifact compatibility.
     pub trace_dropped: u64,
     /// Kernel events processed over the whole run (warmup + measured
-    /// + drain) — the `kernelbench` throughput denominator.
+    /// + drain) — the numerator of perfbench's `events_per_cpu_s`.
     pub events_processed: u64,
     /// Layered metrics snapshot taken at the end of the run (cumulative
-    /// over warmup + measured + drain). Empty for IEEE runs and when
-    /// the workspace is built with `obs-off`.
+    /// over warmup + measured + drain). Empty for IEEE runs.
     pub metrics: mindgap_obs::MetricsSnapshot,
     /// The run's span timeline, moved out of the world before record
-    /// extraction. Empty for IEEE runs, when `timeline_cap` is 0, and
-    /// under `obs-off`.
+    /// extraction. Empty for IEEE runs and when `timeline_cap` is 0.
     pub timeline: mindgap_obs::Timeline,
     /// Per-fault recovery metrics derived from the timeline (empty
-    /// without a fault schedule, for IEEE runs, when `timeline_cap`
-    /// is 0, and under `obs-off`).
+    /// without a fault schedule, for IEEE runs, and when
+    /// `timeline_cap` is 0).
     pub recovery: Vec<FaultRecovery>,
     /// Cold-start convergence time in seconds: first 1 s-granular
     /// instant at which every non-root node holds an RPL parent
@@ -544,9 +542,6 @@ mod tests {
 
     #[test]
     fn crash_fault_is_detected_and_recovered() {
-        if !mindgap_obs::enabled() {
-            return;
-        }
         let faults = mindgap_chaos::FaultSchedule::new()
             // Crash the middle relay for 5 s, one minute in.
             .node_crash(Duration::from_secs(60), 1, Duration::from_secs(5));
@@ -670,16 +665,14 @@ mod tests {
             "PDR under churn collapsed: {}",
             res.records.coap_pdr()
         );
-        if mindgap_obs::enabled() {
-            assert_eq!(res.recovery.len(), 4, "one record per scripted crash");
-            // At least one crash must be detected and healed: a new
-            // connection forms after the loss is noticed.
-            let healed = res
-                .recovery
-                .iter()
-                .any(|r| r.detect_ns.is_some() && r.reconnect_ns.is_some());
-            assert!(healed, "no crash healed: {:?}", res.recovery);
-        }
+        assert_eq!(res.recovery.len(), 4, "one record per scripted crash");
+        // At least one crash must be detected and healed: a new
+        // connection forms after the loss is noticed.
+        let healed = res
+            .recovery
+            .iter()
+            .any(|r| r.detect_ns.is_some() && r.reconnect_ns.is_some());
+        assert!(healed, "no crash healed: {:?}", res.recovery);
     }
 
     #[test]

@@ -54,12 +54,10 @@ fn same_seed_exports_are_byte_identical_adv() {
     let (tl_b, m_b) = exports(true);
     assert_eq!(tl_a, tl_b, "adv timeline must be deterministic");
     assert_eq!(m_a, m_b, "adv metrics must be deterministic");
-    if mindgap_obs::enabled() {
-        assert!(
-            m_a.contains("ll_adv_trains"),
-            "adv metrics must be registered in adv mode"
-        );
-    }
+    assert!(
+        m_a.contains("ll_adv_trains"),
+        "adv metrics must be registered in adv mode"
+    );
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use mindgap_core::IntervalPolicy;
 use mindgap_sim::Duration;
-use mindgap_testbed::{run_ble, ExperimentSpec, Topology};
+use mindgap_testbed::{run_ble, ExperimentSpec, MeshTopology, Topology};
 
 /// Full observable fingerprint of one run. Timeline + metrics are the
 /// exact byte streams the campaign artifact writers serialize; the
@@ -101,6 +101,25 @@ fn par_identical_under_crash_fault() {
         ),
     );
     assert_par_identical(spec, "conn line(5) crash");
+}
+
+#[test]
+fn par_identical_static_geometric_mesh() {
+    // The mesh path: a generated random-geometric field runs on the
+    // sparse `radio_links` medium with RPL routing and the 30 s DAO
+    // cadence (`rpl_dao_period_ticks = 6`), at the n=500 scale
+    // workload's node density.
+    let mesh = MeshTopology::random_geometric(30, 200.0, 42);
+    let spec = ExperimentSpec::mesh_default(
+        mesh,
+        IntervalPolicy::Randomized {
+            lo: Duration::from_millis(65),
+            hi: Duration::from_millis(85),
+        },
+        42,
+    )
+    .with_duration(Duration::from_secs(60));
+    assert_par_identical(spec, "geo30 mesh");
 }
 
 #[test]

@@ -98,26 +98,22 @@ fn main() {
 
     // What the timeline recorded about each fault.
     let recs = recovery::analyze(&w.obs.timeline);
-    if recs.is_empty() {
-        println!("\n(obs-off build: no timeline, no recovery metrics)");
-    } else {
-        println!("\nrecovery report ({} faults):", recs.len());
-        for r in &recs {
-            let s = |ns: Option<u64>| {
-                ns.map(|v| format!("{:.2} s", v as f64 / 1e9))
-                    .unwrap_or_else(|| "—".into())
-            };
-            println!(
-                "  {} @ {:.0} s: detect {}, reconnect {}, RPL repair {}, \
-                 conn losses {}",
-                r.label,
-                r.at_ns as f64 / 1e9,
-                s(r.detect_ns),
-                s(r.reconnect_ns),
-                s(r.rpl_repair_ns),
-                r.conn_downs,
-            );
-        }
+    println!("\nrecovery report ({} faults):", recs.len());
+    for r in &recs {
+        let s = |ns: Option<u64>| {
+            ns.map(|v| format!("{:.2} s", v as f64 / 1e9))
+                .unwrap_or_else(|| "—".into())
+        };
+        println!(
+            "  {} @ {:.0} s: detect {}, reconnect {}, RPL repair {}, \
+             conn losses {}",
+            r.label,
+            r.at_ns as f64 / 1e9,
+            s(r.detect_ns),
+            s(r.reconnect_ns),
+            s(r.rpl_repair_ns),
+            r.conn_downs,
+        );
     }
 
     println!("\nwhat happened: node 1 lost its parent (the root), broadcast a");

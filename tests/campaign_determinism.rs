@@ -209,14 +209,12 @@ fn chaos_artifacts_identical_across_worker_counts() {
         bytes1, bytes4,
         "chaos artifacts must not depend on worker count"
     );
-    if mindgap::obs::enabled() {
-        // Non-vacuous: the chaos series actually made it into the
-        // artifacts.
-        let any = bytes1.values().next().unwrap();
-        let text = std::str::from_utf8(any).unwrap();
-        assert!(text.contains("chaos.faults"), "chaos metrics missing");
-        assert!(text.contains("chaos.ttd_s"), "chaos series missing");
-    }
+    // Non-vacuous: the chaos series actually made it into the
+    // artifacts.
+    let any = bytes1.values().next().unwrap();
+    let text = std::str::from_utf8(any).unwrap();
+    assert!(text.contains("chaos.faults"), "chaos metrics missing");
+    assert!(text.contains("chaos.ttd_s"), "chaos series missing");
     let _ = fs::remove_dir_all(&root1);
     let _ = fs::remove_dir_all(&root4);
 }
@@ -289,12 +287,10 @@ fn churn_artifacts_identical_across_worker_counts() {
             text.contains("convergence_s"),
             "{name}: convergence metric missing"
         );
-        if mindgap::obs::enabled() {
-            assert!(
-                text.contains("ll_peer_attempts"),
-                "{name}: peer-manager counters missing"
-            );
-        }
+        assert!(
+            text.contains("ll_peer_attempts"),
+            "{name}: peer-manager counters missing"
+        );
     }
     let _ = fs::remove_dir_all(&root1);
     let _ = fs::remove_dir_all(&root4);

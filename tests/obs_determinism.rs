@@ -33,22 +33,17 @@ fn same_seed_timeline_and_metrics_are_identical() {
     assert_eq!(csv_a, csv_b, "timeline CSV diverged across runs");
     assert_eq!(metrics_a, metrics_b, "metric snapshots diverged");
 
-    if mindgap::obs::enabled() {
-        // Non-vacuous: the run actually recorded something.
-        assert!(
-            jsonl_a.contains("\"kind\":\"conn_event\""),
-            "no conn_event spans recorded"
-        );
-        assert!(
-            metrics_a.iter().any(|(k, v)| k == "obs.coap_req_tx" && *v > 0.0),
-            "no CoAP traffic counted"
-        );
-        // The ring cap caps the export: 2^14 spans max.
-        assert!(jsonl_a.lines().count() <= 1 << 14);
-    } else {
-        assert!(jsonl_a.is_empty());
-        assert!(metrics_a.iter().all(|(_, v)| *v == 0.0));
-    }
+    // Non-vacuous: the run actually recorded something.
+    assert!(
+        jsonl_a.contains("\"kind\":\"conn_event\""),
+        "no conn_event spans recorded"
+    );
+    assert!(
+        metrics_a.iter().any(|(k, v)| k == "obs.coap_req_tx" && *v > 0.0),
+        "no CoAP traffic counted"
+    );
+    // The ring cap caps the export: 2^14 spans max.
+    assert!(jsonl_a.lines().count() <= 1 << 14);
 }
 
 /// Chaos is inside the contract too: a scripted node reboot wipes and
@@ -80,24 +75,20 @@ fn fault_schedule_exports_are_identical_across_runs() {
     assert_eq!(jsonl_a, jsonl_b, "faulted timeline diverged across runs");
     assert_eq!(metrics_a, metrics_b, "faulted metrics diverged");
     assert_eq!(rec_a, rec_b, "recovery metrics diverged");
-    if mindgap::obs::enabled() {
-        assert_eq!(
-            jsonl_a.matches("\"kind\":\"fault_node_crash\"").count(),
-            2,
-            "both crash markers must be on the timeline"
-        );
-        assert!(
-            jsonl_a.contains("\"kind\":\"fault_node_reboot\""),
-            "reboot markers missing"
-        );
-        assert_eq!(rec_a.len(), 3, "three injections, three records");
-        assert!(
-            rec_a.iter().filter(|r| r.detect_ns.is_some()).count() >= 2,
-            "crashes must be detected via supervision timeout"
-        );
-    } else {
-        assert!(rec_a.is_empty());
-    }
+    assert_eq!(
+        jsonl_a.matches("\"kind\":\"fault_node_crash\"").count(),
+        2,
+        "both crash markers must be on the timeline"
+    );
+    assert!(
+        jsonl_a.contains("\"kind\":\"fault_node_reboot\""),
+        "reboot markers missing"
+    );
+    assert_eq!(rec_a.len(), 3, "three injections, three records");
+    assert!(
+        rec_a.iter().filter(|r| r.detect_ns.is_some()).count() >= 2,
+        "crashes must be detected via supervision timeout"
+    );
 }
 
 #[test]
@@ -105,7 +96,5 @@ fn different_seeds_differ() {
     // Sanity check that the equality above isn't trivially true.
     let (jsonl_a, _, _) = run(7);
     let (jsonl_b, _, _) = run(8);
-    if mindgap::obs::enabled() {
-        assert_ne!(jsonl_a, jsonl_b, "different seeds produced identical timelines");
-    }
+    assert_ne!(jsonl_a, jsonl_b, "different seeds produced identical timelines");
 }
